@@ -256,6 +256,14 @@ feNeg(u64 out[5], const u64 a[5])
     feCarry(out);
 }
 
+/** out = mask ? a : out, with @p mask all-ones or zero (no branch). */
+void
+feCmov(u64 out[5], const u64 a[5], u64 mask)
+{
+    for (int i = 0; i < 5; ++i)
+        out[i] = (out[i] & ~mask) | (a[i] & mask);
+}
+
 } // namespace
 
 Scalar
@@ -361,15 +369,31 @@ Point::dbl() const
 Point
 Point::mul(const Scalar &k, const Point &p)
 {
+    // Fixed 4-bit window: 64 windows of 4 doublings and one addition,
+    // whatever the scalar. The only data-dependent step, fetching
+    // table[nibble], reads every entry and keeps one by mask, so
+    // neither a branch nor an address depends on a secret bit.
+    Point table[16]; // table[i] = i*P, table[0] the identity
+    table[1] = p;
+    for (int i = 2; i < 16; ++i)
+        table[i] = (i % 2 == 0) ? table[i / 2].dbl() : table[i - 1].add(p);
+
     Point r;
-    bool started = false;
-    for (int bit = 255; bit >= 0; --bit) {
-        if (started)
-            r = r.dbl();
-        if ((k.bytes[bit / 8] >> (bit % 8)) & 1) {
-            r = started ? r.add(p) : p;
-            started = true;
+    for (int window = 63; window >= 0; --window) {
+        if (window != 63)
+            r = r.dbl().dbl().dbl().dbl();
+        const u64 nibble = (k.bytes[window / 2] >> (4 * (window % 2))) & 0xf;
+        Point sel;
+        for (u64 i = 0; i < 16; ++i) {
+            // mask = all-ones iff i == nibble; (d - 1) >> 63 is 1 only
+            // for d == 0 since d = i ^ nibble < 16.
+            const u64 mask = u64(0) - (((i ^ nibble) - 1) >> 63);
+            feCmov(sel.X_.v, table[i].X_.v, mask);
+            feCmov(sel.Y_.v, table[i].Y_.v, mask);
+            feCmov(sel.Z_.v, table[i].Z_.v, mask);
+            feCmov(sel.T_.v, table[i].T_.v, mask);
         }
+        r = r.add(sel);
     }
     return r;
 }

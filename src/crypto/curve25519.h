@@ -7,13 +7,13 @@
  * receiver's key as R = c*A + x*G — so this implements the twisted
  * Edwards form of Curve25519 (the Ed25519 group of RFC 8032): field
  * arithmetic mod 2^255-19 in five 51-bit limbs on unsigned __int128,
- * complete extended-coordinate addition, double-and-add scalar
+ * complete extended-coordinate addition, fixed-window scalar
  * multiplication, and RFC 8032 point compression/decompression.
  *
- * Deliberately small: encryption-only GC needs no signatures, no
- * constant-time hardening beyond the arithmetic being branch-free on
- * secret limbs (the repo models a semi-honest deployment; see
- * DESIGN.md), and no external library.
+ * Deliberately small: encryption-only GC needs no signatures and no
+ * external library. The field arithmetic is branch-free on secret limbs
+ * and scalar multiplication is constant-time in the scalar (the base-OT
+ * secrets); decompression of public points is not.
  */
 #ifndef HAAC_CRYPTO_CURVE25519_H
 #define HAAC_CRYPTO_CURVE25519_H
@@ -63,7 +63,10 @@ class Point
     Point sub(const Point &o) const;
     Point dbl() const;
 
-    /** Variable-base scalar multiplication k*P (double-and-add). */
+    /**
+     * Variable-base scalar multiplication k*P: a fixed 4-bit window
+     * whose branches and memory addresses do not depend on @p k.
+     */
     static Point mul(const Scalar &k, const Point &p);
 
     /** Canonical-encoding equality (compares compressed bytes). */

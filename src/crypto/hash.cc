@@ -3,17 +3,13 @@
 namespace haac {
 
 Label
-tweakKey(uint64_t tweak)
-{
-    // Domain-separate the key space from PRG counters.
-    return Label(tweak, tweak ^ 0x4841414354574b00ull); // "HAACTWK"
-}
-
-Label
 hashRekeyed(const Label &x, uint64_t tweak)
 {
-    Aes128 aes(tweakKey(tweak));
-    return aes.encryptBlock(x) ^ x;
+    const Label key[1] = {tweakKey(tweak)};
+    const Label in[1] = {x};
+    Label out[1];
+    aesMmoRekeyed<1, 1>(key, in, out);
+    return out[0];
 }
 
 namespace {

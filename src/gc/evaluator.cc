@@ -13,11 +13,13 @@ evaluateAnd(const Label &a, const Label &b, const GarbledTable &table,
     const bool sa = a.lsb();
     const bool sb = b.lsb();
 
-    RekeyedHasher h0(j0), h1(j1);
-    Label wg = h0(a);
+    const Label x[2] = {a, b};
+    Label h[2];
+    hashRekeyedPair<1>(j0, j1, x, h);
+    Label wg = h[0];
     if (sa)
         wg ^= table.tg;
-    Label we = h1(b);
+    Label we = h[1];
     if (sb)
         we ^= table.te ^ a;
     return wg ^ we;

@@ -30,8 +30,13 @@ namespace haac {
 class LoopbackTransport : public Transport
 {
   public:
-    /** Default per-direction byte window (8 MB, ample for segments). */
-    static constexpr size_t kDefaultWindowBytes = 8u * 1024 * 1024;
+    /**
+     * Default per-direction byte window: 256 KB, eight segments of the
+     * default 1024 tables, about a TCP socket buffer. A garbler that
+     * outruns its evaluator blocks here instead of queueing the rest of
+     * its table stream in memory.
+     */
+    static constexpr size_t kDefaultWindowBytes = 256u * 1024;
 
     /**
      * Two connected endpoints; either may live on any thread.

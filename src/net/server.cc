@@ -409,8 +409,11 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
     const bool pool_eligible =
         opts_.pool != nullptr && server_role == Role::Garbler;
     if (pool_eligible) {
-        opts_.pool->track(spec, wl->netlist);
+        // Pop before tracking: a spec's first session is then always
+        // a miss, instead of racing a filler woken by track() for
+        // whichever finishes first.
         pooled = opts_.pool->tryPop(spec);
+        opts_.pool->track(spec, wl->netlist);
     }
 
     RemoteResult result;

@@ -83,6 +83,85 @@ TEST(HalfGate, TableBytesMatchPaper)
     EXPECT_EQ(kTableBytes, 32u);
 }
 
+// Bit-identity pins: produced by the byte-wise FIPS-197 AES. The AES-NI
+// and portable builds must both reproduce them, so a garbler on one host
+// stays compatible with an evaluator on the other.
+
+/** FNV-1a over label bytes: a digest that uses no AES itself. */
+struct LabelDigest
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(const Label &l)
+    {
+        uint8_t bytes[kLabelBytes];
+        l.toBytes(bytes);
+        for (uint8_t b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+TEST(BitIdentity, GarbleAndPin)
+{
+    const Label a0(0x1111222233334444ull, 0x5555666677778888ull);
+    const Label b0(0x9999aaaabbbbccccull, 0xddddeeeeffff0001ull);
+    Label r(0x0f1e2d3c4b5a6978ull, 0x8796a5b4c3d2e1f1ull);
+    r.setLsb(true);
+    const HalfGateGarbled g = garbleAnd(a0, b0, r, 12345);
+    EXPECT_EQ(g.table.tg.toHex(), "e7819d13116509cdd8a652023188fe4d");
+    EXPECT_EQ(g.table.te.toHex(), "8debbea68488793acfdbd428da0b3e21");
+    EXPECT_EQ(g.outZero.toHex(), "f2c6a4e769745183374bbdc0556f17da");
+}
+
+TEST(BitIdentity, TableStreamAndOutputLabelPins)
+{
+    // 16x16-bit multiply plus an add: 272 AND tables.
+    CircuitBuilder cb;
+    Bits a = cb.garblerInputs(16);
+    Bits b = cb.evaluatorInputs(16);
+    Bits m = mulBits(cb, a, b, 16);
+    cb.addOutputs(addBits(cb, m, a));
+    Netlist nl = cb.build();
+    ASSERT_EQ(nl.numAndGates(), 272u);
+
+    std::vector<GarbledTable> tables;
+    LabelDigest table_digest;
+    const StreamedGarbling sg =
+        garbleStreaming(nl, 0x5eed, [&](const GarbledTable &t) {
+            table_digest.add(t.tg);
+            table_digest.add(t.te);
+            tables.push_back(t);
+        });
+    LabelDigest zero_digest;
+    for (const Label &l : sg.outputZeroLabels)
+        zero_digest.add(l);
+    EXPECT_EQ(sg.globalOffset.toHex(), "5ddbbbc3bf5e1d2a12ab28eaff7784f9");
+    EXPECT_EQ(table_digest.h, 0xf07246e621a3d115ull);
+    EXPECT_EQ(zero_digest.h, 0xe2d826c555369616ull);
+
+    // Evaluate 0xbeef * 0x1234 + 0xbeef and pin the active outputs.
+    std::vector<Label> in(nl.numInputs());
+    for (WireId w = 0; w < nl.numInputs(); ++w) {
+        bool v = true; // the constant-one wire
+        if (w < 16)
+            v = (0xbeef >> w) & 1;
+        else if (w < 32)
+            v = (0x1234 >> (w - 16)) & 1;
+        in[w] = v ? sg.inputZeroLabels[w] ^ sg.globalOffset
+                  : sg.inputZeroLabels[w];
+    }
+    size_t next = 0;
+    const std::vector<Label> out =
+        evaluateStreaming(nl, in, [&] { return tables[next++]; });
+    LabelDigest out_digest;
+    for (const Label &l : out)
+        out_digest.add(l);
+    EXPECT_EQ(out_digest.h, 0x3ad10e9743a1c552ull);
+}
+
 TEST(Garbler, XorGatesAreFree)
 {
     CircuitBuilder cb;
